@@ -47,7 +47,7 @@ type reduceBaseline struct {
 
 // runReduceOnce performs one full-cluster SparDL synchronization on the
 // given backend and returns the run report (cluster-wide received bytes:
-// α-β accounted on the simulator, real serialized bytes on livenet).
+// α-β accounted on the simulator, real serialized bytes on the live backends).
 func runReduceOnce(b spardl.Backend, p, n, k int, mode spardl.WireMode, grads [][]float32) *spardl.Report {
 	return b.Run(p, func(rank int, ep spardl.CommEndpoint) {
 		r, err := spardl.New(p, rank, n, k, spardl.Options{Wire: mode})
@@ -74,8 +74,8 @@ func reduceGrads(p, n int) [][]float32 {
 }
 
 // runLiveComparison benchmarks one SparDL synchronization per wire mode on
-// the livenet backend — real encode/decode over channels, wall-clock
-// timed — and prints the measured ns/op next to the α-β simulator's
+// the livenet backend — real encode/decode over in-memory pipes,
+// wall-clock timed — and prints the measured ns/op next to the α-β simulator's
 // virtual clock for the identical workload. This is the project's
 // hardware-honest number: what a synchronization costs when every sparse
 // message is truly serialized, not accounted.
@@ -407,7 +407,7 @@ func runDensitySweep(w io.Writer, p, n int) {
 
 // runChaosBench measures elastic recovery under a deterministic fault
 // schedule: the same elastic training session runs on livenet (goroutines,
-// in-memory channels) and on loopback tcpnet (goroutines, real sockets)
+// in-memory pipes) and on loopback tcpnet (goroutines, real sockets)
 // under the identical schedule, and the report breaks each survived
 // recovery into its two halves — re-rendezvous latency (fault observed →
 // new fabric established) and first-round latency (worker bodies re-enter

@@ -129,6 +129,6 @@ func runTCPWorker(tcpCfg spardl.TCPConfig, caseID int, kRatio float64, factory s
 
 func printResult(c *spardl.Case, res *spardl.TrainResult) {
 	spardl.FprintTrajectory(os.Stdout, c, res)
-	fmt.Printf("per-update breakdown: comm %.4fs + comp %.4fs; worst-worker rounds/iter: %d; bytes/iter: %d\n",
+	fmt.Printf("per-update breakdown: comm %.4fs + comp %.4fs (modeled); worst-worker rounds/iter: %d; bytes/iter: %d\n",
 		res.CommTime, res.CompTime, res.MaxRounds, res.BytesPerIter)
 }

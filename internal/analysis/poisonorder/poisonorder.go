@@ -1,5 +1,5 @@
 // Package poisonorder machine-checks the failure-cascade discipline the
-// live backends (comm, livenet, tcpnet) rely on for root-cause reporting:
+// live backends (comm, tcpnet) rely on for root-cause reporting:
 //
 //  1. Record-before-hook: on any path where a failure cause reaches a
 //     backend poison hook (fabric.Poison/poisonWith, abortConns, Abort, a
@@ -70,9 +70,8 @@ func (*PoisonHookFact) AFact() {}
 // backendPkgs names the packages whose failure paths carry this
 // discipline, matched by package name so fixtures participate.
 var backendPkgs = map[string]bool{
-	"comm":    true,
-	"livenet": true,
-	"tcpnet":  true,
+	"comm":   true,
+	"tcpnet": true,
 }
 
 // hookNames seeds the poison-hook set; hookFieldRE matches calls through

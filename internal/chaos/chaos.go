@@ -3,9 +3,9 @@
 // faults fire where — a frame dropped on one directed link, a payload
 // corrupted in flight, a worker crashing at an iteration boundary, an
 // asymmetric partition opening between two peers, or extra latency on a
-// link — and both livenet (at its FIFO queue boundary) and tcpnet (as a
-// net.Conn wrapper around the mesh connections) consult the same Injector
-// interface, so one schedule replays identically on either substrate.
+// link. tcpnet consults the Injector at one site, a net.Conn wrapper
+// around each mesh connection, whether the connection is a socket or an
+// in-memory pipe, so one schedule replays identically on either substrate.
 //
 // Determinism is structural, not sampled: every fault is keyed by the
 // per-link frame ordinal or the per-worker iteration ordinal, both of
@@ -227,11 +227,11 @@ type Action struct {
 	Fault   *Fault        // the schedule entry behind a Drop/Corrupt/Partition verdict
 }
 
-// Injector is the per-worker view of a schedule both live backends accept:
-// livenet consults it at the queue boundary on every push, tcpnet inside
-// the net.Conn wrapper on every outbound frame. Implementations must be
-// safe for the backend's concurrency (tcpnet consults per-peer writer
-// goroutines; per-link state is independent, so a per-link mutex suffices).
+// Injector is the per-worker view of a schedule the live backends accept:
+// tcpnet consults it inside the net.Conn wrapper on every outbound frame,
+// over sockets and in-memory pipes alike. Implementations must be safe for
+// the backend's concurrency (tcpnet consults per-peer writer goroutines;
+// per-link state is independent, so a per-link mutex suffices).
 type Injector interface {
 	// Outbound is consulted once per outbound frame to peer, in emission
 	// order; the injector keeps the per-link ordinal itself.

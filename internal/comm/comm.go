@@ -3,22 +3,24 @@
 // (one worker's handle on a P-worker fabric) and the Backend interface
 // (a way to run P workers against some fabric implementation).
 //
-// Two backends implement the contract:
+// Two packages implement the contract:
 //
 //   - package simnet: the deterministic α-β (Hockney) simulator. Payloads
 //     travel by reference, time is virtual, and every cost the paper's
 //     model tracks is charged exactly.
-//   - package livenet: a real concurrent in-memory transport. P goroutines
-//     exchange messages over channels-of-bytes; every payload is actually
-//     serialized through the wire codecs at the sender and decoded at the
-//     receiver, and time is wall-clock.
+//   - package tcpnet: the byte-level transport. Every payload is actually
+//     serialized through the wire codecs at the sender, framed onto a
+//     connection and decoded at the receiver, and time is wall-clock. The
+//     connections are real sockets between processes, loopback sockets
+//     between goroutines, or in-memory pipes between goroutines (the
+//     backend named "livenet").
 //
 // # Determinism contract
 //
 // The algorithms drive all ordering: every Recv names its source rank, and
 // per-(sender, receiver) pair delivery is FIFO on every backend. A reducer
-// therefore computes bit-identical gradients on simnet and livenet — the
-// cross-backend equivalence tests in package livenet pin this — while the
+// therefore computes bit-identical gradients on simnet and tcpnet — the
+// cross-backend equivalence tests in package tcpnet pin this — while the
 // *meaning* of the clock and time statistics differs per backend (virtual
 // α-β seconds vs. measured wall seconds).
 //
@@ -26,7 +28,7 @@
 //
 // An Endpoint belongs to exactly one worker goroutine. Overlap bodies run
 // on the worker's communication stream — a second logical (simnet) or real
-// (livenet) execution lane — and may not nest; all workers must issue their
+// (tcpnet) execution lane — and may not nest; all workers must issue their
 // Overlap bodies in the same relative order, exactly as they would order
 // blocking collectives. Between Overlap and Join the main goroutine must
 // not Send or Recv outside the stream.
@@ -37,11 +39,11 @@ package comm
 //
 //   - simnet: BytesSent/BytesRecv are the α-β accounted sizes; CommTime,
 //     CompTime, ExposedComm and OverlapSaved are virtual seconds.
-//   - livenet: BytesSent/BytesRecv are the real serialized sizes on the
-//     channel; CommTime, ExposedComm and OverlapSaved are measured wall
-//     seconds; CompTime still accumulates the modeled Compute charges
-//     (livenet does not sleep — the algorithms' real selection/merge work
-//     runs for real on the worker goroutine instead).
+//   - tcpnet: BytesSent/BytesRecv are the real serialized payload sizes
+//     (frame headers excluded); CommTime, ExposedComm and OverlapSaved are
+//     measured wall seconds; CompTime still accumulates the modeled
+//     Compute charges (the endpoint does not sleep — the algorithms' real
+//     selection/merge work runs for real on the worker goroutine instead).
 type Stats struct {
 	Rounds    int   // number of Recv operations (the "x" in xα + yβ)
 	BytesRecv int64 // total received volume (the "y", in bytes)
@@ -70,7 +72,7 @@ type Endpoint interface {
 	// P returns the number of workers on the fabric.
 	P() int
 	// Clock returns the worker's current time in seconds: virtual α-β
-	// time on simnet, wall-clock seconds since the run started on livenet.
+	// time on simnet, wall-clock seconds since the mesh came up on tcpnet.
 	Clock() float64
 	// Stats returns a copy of the worker's statistics.
 	Stats() Stats
@@ -81,7 +83,7 @@ type Endpoint interface {
 	// Send transmits payload to worker `to`, accounting `bytes` on the
 	// wire. Sends never block the sender. On simnet the payload is handed
 	// over by reference (the sender must not mutate it afterwards); on
-	// livenet it is serialized into a fresh buffer at the call.
+	// tcpnet it is serialized into a fresh buffer at the call.
 	Send(to int, payload any, bytes int)
 	// Recv blocks until a message from worker `from` arrives and returns
 	// the payload and the sender's accounted byte count.
@@ -90,7 +92,7 @@ type Endpoint interface {
 	// send to peer, then receive from the same peer.
 	SendRecv(peer int, payload any, bytes int) (got any, gotBytes int)
 	// Overlap runs body on the worker's communication stream so that
-	// subsequent main-lane Compute models (simnet) or is (livenet)
+	// subsequent main-lane Compute models (simnet) or is (tcpnet)
 	// computation proceeding concurrently with the communication.
 	// Overlap calls may not nest.
 	Overlap(body func(Endpoint))

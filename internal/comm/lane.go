@@ -6,7 +6,7 @@ import (
 )
 
 // Fifo is an unbounded FIFO with blocking Pop, shared by the real
-// concurrent backends (livenet, tcpnet). Message queues use it to mirror
+// concurrent backend (tcpnet). Message queues use it to mirror
 // eager sends — the transport never applies backpressure, exactly like
 // simnet, so every backend executes the identical schedule — and the
 // communication stream uses it for its task lane, so Overlap never blocks
@@ -99,8 +99,8 @@ func (q *Fifo[T]) Close() {
 // serialization, transport traffic and decoding. The subtle parts — the
 // busy/exposed accounting split, and the panic→poison ordering that keeps
 // a dead stream from leaving the fleet blocked on queues that will never
-// be fed — exist only here; livenet and tcpnet differ solely in the
-// injected poison hook.
+// be fed — exist only here; the backend supplies only the injected poison
+// hook.
 //
 // Concurrency contract: Launch, Join and Shutdown are called from the one
 // worker goroutine that owns the endpoint; the lane's own goroutine runs
@@ -110,9 +110,9 @@ type StreamLane struct {
 	// onPanic runs ON the stream goroutine after a body panics, before the
 	// panic value is parked for Join. It must unblock the worker's main
 	// goroutine and its peers without waiting for the stream itself
-	// (livenet poisons the shared fabric; tcpnet closes the per-peer
-	// connections via abortConns, never Abort — Abort waits for the
-	// stream, and waiting for the stream from inside it would deadlock).
+	// (tcpnet closes the per-peer connections via abortConns, never Abort
+	// — Abort waits for the stream, and waiting for the stream from inside
+	// it would deadlock).
 	onPanic func(r any)
 
 	tasks   *Fifo[func()]

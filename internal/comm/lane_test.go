@@ -152,7 +152,7 @@ func TestStreamLanePanicOrdering(t *testing.T) {
 
 // TestStreamLanePoisonFirstCauseWinsUnderCascade models the full backend
 // cascade around a stream-body panic, under the race detector: the hook
-// (tcpnet's abortConns / livenet's poisonWith) records the root cause and
+// (tcpnet's abortConns) records the root cause and
 // closes the queues; that unblocks the worker's main goroutine, which
 // panics on the poisoned queue and calls its own Abort concurrently with
 // the stream goroutine still unwinding. The invariant pinned here is the

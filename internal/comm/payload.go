@@ -9,7 +9,7 @@ import (
 	"spardl/internal/sparse"
 )
 
-// Payload serialization for byte-level backends (livenet).
+// Payload serialization for the byte-level backend (tcpnet).
 //
 // Every payload a collective in this repository sends is one of a small,
 // closed set of shapes: a scalar (int, float64), a dense vector
@@ -153,15 +153,10 @@ func AppendPayload(dst []byte, v any) []byte {
 	panic(fmt.Sprintf("comm: no payload codec for %T", v))
 }
 
-// UnmarshalPayload decodes one payload that must span the whole buffer.
-func UnmarshalPayload(buf []byte) (any, error) {
-	return UnmarshalPayloadArena(nil, buf)
-}
-
-// UnmarshalPayloadArena is the arena-aware UnmarshalPayload: with a
-// non-nil arena, buf must be arena-owned storage and decoded values may
-// alias it (see ReadPayloadArena). A nil arena is exactly
-// UnmarshalPayload.
+// UnmarshalPayloadArena decodes one payload that must span the whole
+// buffer. With a non-nil arena, buf must be arena-owned storage and
+// decoded values may alias it (see ReadPayloadArena); with a nil arena
+// they own their storage.
 func UnmarshalPayloadArena(a *sparse.Arena, buf []byte) (any, error) {
 	v, rest, err := ReadPayloadArena(a, buf)
 	if err != nil {

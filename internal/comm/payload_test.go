@@ -22,7 +22,7 @@ func TestBuiltinPayloadRoundtrip(t *testing.T) {
 	}
 	for _, v := range cases {
 		buf := MarshalPayload(v)
-		got, err := UnmarshalPayload(buf)
+		got, err := UnmarshalPayloadArena(nil, buf)
 		if err != nil {
 			t.Fatalf("%#v: unmarshal failed: %v", v, err)
 		}
@@ -36,7 +36,7 @@ func TestBuiltinPayloadRoundtrip(t *testing.T) {
 // receive buffers after decoding, so decoded []byte values must be copies.
 func TestPayloadDecodedValuesDoNotAliasBuffer(t *testing.T) {
 	buf := MarshalPayload([]byte{10, 20, 30})
-	got, err := UnmarshalPayload(buf)
+	got, err := UnmarshalPayloadArena(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +53,14 @@ func TestPayloadDecodedValuesDoNotAliasBuffer(t *testing.T) {
 func TestPayloadRejectsCorruption(t *testing.T) {
 	good := MarshalPayload([]any{[]float32{1, 2, 3}, 7})
 	for cut := 0; cut < len(good); cut++ {
-		if _, err := UnmarshalPayload(good[:cut]); err == nil {
+		if _, err := UnmarshalPayloadArena(nil, good[:cut]); err == nil {
 			t.Fatalf("truncation at %d of %d decoded without error", cut, len(good))
 		}
 	}
-	if _, err := UnmarshalPayload([]byte{0x7F}); err == nil {
+	if _, err := UnmarshalPayloadArena(nil, []byte{0x7F}); err == nil {
 		t.Fatal("unknown tag decoded without error")
 	}
-	if _, err := UnmarshalPayload(append(MarshalPayload(1), 0)); err == nil {
+	if _, err := UnmarshalPayloadArena(nil, append(MarshalPayload(1), 0)); err == nil {
 		t.Fatal("trailing bytes decoded without error")
 	}
 }

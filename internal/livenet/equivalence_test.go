@@ -1,3 +1,6 @@
+// The livenet directory holds no code, only the determinism suites of the
+// in-memory backend that spardl.LiveBackend returns: tcpnet's endpoint
+// meshed in one process over in-memory pipes (tcpnet.MemBackend).
 package livenet_test
 
 import (
@@ -7,17 +10,18 @@ import (
 
 	"spardl/internal/comm"
 	"spardl/internal/core"
-	"spardl/internal/livenet"
 	"spardl/internal/simnet"
 	"spardl/internal/sparse"
 	"spardl/internal/sparsecoll"
+	"spardl/internal/tcpnet"
 	"spardl/internal/wire"
 )
 
-// TestBackendEquivalence is the livenet analogue of the encoded round-trip
-// check: for every sparse reducer factory and every wire mode, running the
-// same gradient streams over the real byte-level transport must produce
-// gradients bit-identical to the α-β simulator's. This pins the package
+// TestBackendEquivalence is the in-process analogue of the encoded
+// round-trip check: for every sparse reducer factory and every wire mode,
+// running the same gradient streams over the endpoint's real byte-level
+// transport — here meshed over in-memory pipes — must produce gradients
+// bit-identical to the α-β simulator's. This pins the package
 // determinism contract — the serialize/deserialize round-trip through the
 // wire codecs loses nothing, and goroutine scheduling decides nothing.
 // The default methods all run with adaptive sparse↔dense representation
@@ -80,18 +84,18 @@ func TestBackendEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", m.name, mode), func(t *testing.T) {
 				f := m.f(mode)
 				sim := runReducer(simnet.Backend(simnet.Ethernet), f, m.p, m.n, m.k, iters)
-				live := runReducer(livenet.NewBackend(), f, m.p, m.n, m.k, iters)
+				live := runReducer(tcpnet.MemBackend(nil), f, m.p, m.n, m.k, iters)
 				for it := 0; it < iters; it++ {
 					for rank := 0; rank < m.p; rank++ {
 						if !equal32(sim[it][rank], live[it][rank]) {
-							t.Fatalf("iter %d rank %d: livenet gradient diverges from simnet", it, rank)
+							t.Fatalf("iter %d rank %d: in-memory gradient diverges from simnet", it, rank)
 						}
 					}
 					// Replicas must also agree with each other on the live
 					// backend — the property S-SGD relies on.
 					for rank := 1; rank < m.p; rank++ {
 						if !equal32(live[it][0], live[it][rank]) {
-							t.Fatalf("iter %d: livenet replicas 0 and %d diverge", it, rank)
+							t.Fatalf("iter %d: in-memory replicas 0 and %d diverge", it, rank)
 						}
 					}
 				}
@@ -110,7 +114,7 @@ func TestDensePoliciesAgreeOnOutputs(t *testing.T) {
 	var results [][][][]float32
 	for _, pol := range []sparse.DensePolicy{sparse.DenseNever, sparse.DenseAdaptive, sparse.DenseAlways} {
 		f := core.NewFactory(core.Options{Dense: pol, Wire: wire.ModeEncoded})
-		results = append(results, runReducer(livenet.NewBackend(), f, p, flipN, flipK, iters))
+		results = append(results, runReducer(tcpnet.MemBackend(nil), f, p, flipN, flipK, iters))
 	}
 	for it := 0; it < iters; it++ {
 		for rank := 0; rank < p; rank++ {

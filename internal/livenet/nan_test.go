@@ -7,8 +7,8 @@ import (
 
 	"spardl/internal/comm"
 	"spardl/internal/core"
-	"spardl/internal/livenet"
 	"spardl/internal/simnet"
+	"spardl/internal/tcpnet"
 	"spardl/internal/wire"
 )
 
@@ -54,12 +54,12 @@ func TestNaNInfSelectionDeterminism(t *testing.T) {
 	for _, mode := range []wire.Mode{wire.ModeCOO, wire.ModeNegotiated, wire.ModeEncoded} {
 		t.Run(mode.String(), func(t *testing.T) {
 			sim := run(simnet.Backend(simnet.Ethernet), mode)
-			live := run(livenet.NewBackend(), mode)
+			live := run(tcpnet.MemBackend(nil), mode)
 			sawPoison := false
 			for it := 0; it < iters; it++ {
 				for rank := 0; rank < p; rank++ {
 					if !bitsEqual32(sim[it][rank], live[it][rank]) {
-						t.Fatalf("iter %d rank %d: livenet selection diverges from simnet on poisoned gradients", it, rank)
+						t.Fatalf("iter %d rank %d: in-memory selection diverges from simnet on poisoned gradients", it, rank)
 					}
 					if rank > 0 && !bitsEqual32(live[it][0], live[it][rank]) {
 						t.Fatalf("iter %d: replicas 0 and %d diverge on poisoned gradients", it, rank)

@@ -26,7 +26,7 @@ package sparse
 // references only until the cluster's next synchronization point — by the
 // time the sender reaches iteration t+2's Reset, the matched collective
 // schedule (plus the per-iteration SyncClock barrier every driver issues)
-// guarantees all of them are gone. Byte-level transports (livenet) copy on
+// guarantees all of them are gone. Byte-level transports (tcpnet) copy on
 // send and are indifferent.
 //
 // # Recycle

@@ -12,7 +12,7 @@ package sparse
 // the input *entry sets* (their total entry count and union index span)
 // and the arena policy — never of the inputs' current representation.
 // Entry sets are preserved exactly by every wire codec, so the simulator
-// (reference-passing), livenet and tcpnet (byte round-trips) make
+// (reference-passing) and tcpnet (byte round-trips) make
 // identical switching decisions and produce bit-identical results.
 // Within one merge, the per-index summation order is input order in both
 // representations: the dense path scatter-adds each input in turn into a

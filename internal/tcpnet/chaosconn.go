@@ -91,8 +91,8 @@ func (c *chaosConn) Write(p []byte) (int, error) {
 			if b < 0x80 {
 				if c.val == 0 {
 					if c.act.Corrupt {
-						// An empty payload leaves nothing to flip; like
-						// livenet, corrupting it degrades to link death.
+						// An empty payload leaves nothing to flip, so
+						// corrupting it degrades to link death.
 						if err := c.flushTo(p, &flushed, i); err != nil {
 							return flushed, err
 						}
@@ -156,8 +156,7 @@ func (c *chaosConn) flushTo(p []byte, flushed *int, end int) error {
 // cause: the writer goroutine records it on the peer, and the endpoint
 // keeps it so an elastic driver reports the schedule entry — not one of the
 // cascade failures the dead socket provokes — as the root cause. Closing
-// the full connection (not just the write side) makes the sever symmetric,
-// like livenet's poisoned queue pair.
+// the full connection (not just the write side) makes the sever symmetric.
 func (c *chaosConn) sever() error {
 	c.severed = fmt.Errorf("chaos: link to worker %d severed by schedule (%s)", c.peerID, c.act.Fault)
 	if c.note != nil {

@@ -41,10 +41,11 @@ var bufPool sparse.SlicePool[byte]
 func getBuf(n int) []byte { return bufPool.Get(n) }
 func putBuf(b []byte)     { bufPool.Put(b) }
 
-// meshConn is the connection surface the per-peer socket goroutines need:
-// a byte stream with independent write-side shutdown. *net.TCPConn
-// implements it directly (keeping the writev fast path); chaosConn wraps
-// one to inject scheduled faults into the outbound frame stream.
+// meshConn is the connection surface the per-peer goroutines need: a byte
+// stream with independent write-side shutdown. *net.TCPConn implements it
+// directly (keeping the writev fast path), pipeConn is its in-memory
+// counterpart, and chaosConn wraps either to inject scheduled faults into
+// the outbound frame stream.
 type meshConn interface {
 	net.Conn
 	CloseWrite() error
@@ -141,6 +142,13 @@ type Endpoint struct {
 	chaosMu    sync.Mutex
 	chaosCause string // first scheduled link fault fired on this endpoint
 
+	// recordCause, when non-nil, records an abort's cause before
+	// abortConns severs anything. The in-process driver sets it to its
+	// first-failure recorder, so a comm-stream panic — which aborts before
+	// its worker re-panics in Join — is timed by the abort, not by the
+	// cascade the abort provokes.
+	recordCause func(cause string)
+
 	// decodeArena owns everything Recv decodes from inbound payload bytes
 	// (chunk headers, pointer slices, wrapper structs); the decoded values
 	// alias the per-peer arena slabs they were parsed from, and both arena
@@ -164,7 +172,7 @@ func newEndpoint(p, rank int, timeout time.Duration) *Endpoint {
 		}
 	}
 	e.lane = comm.NewStreamLane(func(r any) {
-		e.abortConns(fmt.Sprintf("worker %d (comm stream): %v", e.rank, r))
+		e.abortConns(fmt.Sprintf("worker %d (comm stream): %v", e.id, r))
 	})
 	return e
 }
@@ -174,7 +182,7 @@ func newEndpoint(p, rank int, timeout time.Duration) *Endpoint {
 // (mesh failed elsewhere and Abort ran while this side was still
 // connecting), the connection is closed and an error returned — no
 // established socket is ever left stranded to hang a peer.
-func (e *Endpoint) register(rank int, conn net.Conn) error {
+func (e *Endpoint) register(rank int, conn meshConn) error {
 	e.regMu.Lock()
 	defer e.regMu.Unlock()
 	if e.closed.Load() {
@@ -186,13 +194,13 @@ func (e *Endpoint) register(rank int, conn net.Conn) error {
 		conn.Close()
 		return fmt.Errorf("tcpnet: duplicate mesh connection for worker %d", rank)
 	}
-	tc := conn.(*net.TCPConn)
-	tc.SetNoDelay(true)
-	var mc meshConn = tc
-	if e.inj != nil {
-		mc = &chaosConn{meshConn: tc, inj: e.inj, peerID: e.idOf(rank), note: e.noteChaos}
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.SetNoDelay(true)
 	}
-	pr.conn = mc
+	if e.inj != nil {
+		conn = &chaosConn{meshConn: conn, inj: e.inj, peerID: e.idOf(rank), note: e.noteChaos}
+	}
+	pr.conn = conn
 	return nil
 }
 
@@ -383,7 +391,7 @@ const (
 // path's zero-copy half: payload bytes move pooled-buffer→kernel with no
 // bufio memcpy between.
 type frameWriter struct {
-	conn   io.Writer   // *net.TCPConn (writev) or a chaosConn wrapper
+	conn   io.Writer   // *net.TCPConn (writev), a pipeConn, or a chaosConn wrapper
 	batch  net.Buffers // scatter list for WriteTo; rebuilt every batch
 	owned  [][]byte    // pooled payload buffers, released after the write
 	hdrs   []byte      // header bytes of queued frames (batch subslices it)
@@ -624,8 +632,10 @@ func (e *Endpoint) ResetStats() {
 	e.stats = comm.Stats{}
 }
 
-// Compute books d seconds of modeled local work; like livenet, tcpnet does
-// not sleep — the real work already runs on this goroutine.
+// Compute books d seconds of modeled local work. The endpoint does not
+// sleep: the algorithms' real selection/merge work already runs on this
+// goroutine, so the charge is bookkeeping that keeps trainer statistics
+// comparable across backends.
 func (e *Endpoint) Compute(d float64) {
 	if d < 0 {
 		panic("tcpnet: negative compute time")
@@ -760,17 +770,21 @@ func (e *Endpoint) SyncClock() {
 // socket traffic and decoding. Overlap calls may not nest; between Overlap
 // and Join the main goroutine must not Send or Recv outside the stream.
 //
-// The stream itself is comm.StreamLane, shared with livenet; the only
-// backend-specific part is the poison hook wired up in newEndpoint
-// (abortConns — see the lane field for why it must never be Abort).
+// The stream itself is comm.StreamLane; the only endpoint-specific part is
+// the poison hook wired up in newEndpoint (abortConns — see the lane field
+// for why it must never be Abort).
 func (e *Endpoint) Overlap(body func(comm.Endpoint)) {
 	if !e.lane.Launch(func() { body(streamEndpoint{e}) }) {
 		panic("tcpnet: Overlap after shutdown")
 	}
 }
 
-// streamEndpoint is the view handed to Overlap bodies; see livenet for the
-// rationale of detecting nesting through the type.
+// streamEndpoint is the view handed to Overlap bodies. It delegates every
+// operation to the owning endpoint; only nested stream control is a
+// contract violation. Detecting nesting through the type (rather than a
+// flag) keeps the main and stream goroutines free of shared mutable
+// state: the main lane may legally launch further Overlap bodies while an
+// earlier one is still executing.
 type streamEndpoint struct{ e *Endpoint }
 
 func (s streamEndpoint) Rank() int         { return s.e.Rank() }
@@ -863,6 +877,9 @@ func (e *Endpoint) Abort(cause string) {
 // connection registers before this loop (and is closed here) or after
 // the closed mark (and is closed by register).
 func (e *Endpoint) abortConns(cause string) {
+	if e.recordCause != nil {
+		e.recordCause(cause)
+	}
 	e.regMu.Lock()
 	defer e.regMu.Unlock()
 	e.closed.Store(true)

@@ -1,46 +1,53 @@
-// Package tcpnet is the distributed comm backend: each of the P workers is
-// a separate OS process (or, in tests, any mix of processes and
-// goroutines) exchanging length-prefixed frames over real TCP sockets.
-// Every payload is serialized through the comm payload registry — sparse
-// chunks go through the wire codecs, so the bytes crossing a socket are
-// exactly the Encode/Decode stream livenet moves through its in-memory
-// queues — and parsed back at the receiver. tcpnet is the step from
-// "hardware-honest in one process" (livenet) to "actually distributed":
-// separate address spaces, a real kernel network stack, and processes that
-// can genuinely crash.
+// Package tcpnet is the byte-level comm backend: P workers exchange
+// length-prefixed frames over one connection per pair. Every payload is
+// serialized through the comm payload registry — sparse chunks go through
+// the wire codecs, so the bytes on a connection are exactly the
+// Encode/Decode stream — and parsed back at the receiver. One Endpoint
+// implementation serves three deployments:
+//
+//   - separate OS processes over real TCP sockets (Start, SelfBackend,
+//     NewProcBackend): separate address spaces, a real kernel network
+//     stack, and processes that can genuinely crash;
+//   - goroutines of one process over loopback sockets (LocalBackend);
+//   - goroutines of one process over in-memory pipes (MemBackend, the
+//     backend named "livenet"), with no kernel in the path.
+//
+// The two in-process backends share one per-generation driver; only the
+// mesh construction differs.
 //
 // # Topology
 //
-// Rank 0 acts as rendezvous: it listens on a well-known address, assigns
-// ranks to workers as they check in, and distributes the full peer address
-// map. Every worker also opens its own data listener; after rendezvous the
-// workers dial a full mesh — one TCP connection per unordered pair, with
-// the higher rank dialing the lower — and each direction of a connection
-// carries that ordered pair's frames.
+// Over sockets, rank 0 acts as rendezvous: it listens on a well-known
+// address, assigns ranks to workers as they check in, and distributes the
+// full peer address map. Every worker also opens its own data listener;
+// after rendezvous the workers dial a full mesh — one TCP connection per
+// unordered pair, with the higher rank dialing the lower — and each
+// direction of a connection carries that ordered pair's frames. In-memory
+// pipes need no rendezvous: every pair is connected in place.
 //
 // # Determinism contract
 //
 // Identical to the other backends (see package comm): every Recv names its
-// source rank, per-(sender, receiver) delivery is FIFO (one TCP stream
+// source rank, per-(sender, receiver) delivery is FIFO (one stream
 // direction per ordered pair, one writer and one reader goroutine each),
 // and the codec round-trip preserves float32 values bit-exactly. The
-// cross-backend equivalence test in this package forks real worker
-// processes and pins bit-identity against simnet for every reducer factory
-// and wire mode. Clock, CommTime, ExposedComm and OverlapSaved are
-// measured wall seconds; BytesSent/BytesRecv count real serialized bytes,
-// while the sender's accounted α-β size rides in the frame header exactly
-// like livenet's in-memory envelope.
+// cross-backend equivalence tests in this package pin bit-identity against
+// simnet for every reducer factory and wire mode, over forked worker
+// processes and over in-memory pipes. Clock, CommTime, ExposedComm and
+// OverlapSaved are measured wall seconds; BytesSent/BytesRecv count real
+// serialized payload bytes, while the sender's accounted α-β size rides
+// in the frame header.
 //
 // # Failure model
 //
 // Sends never block (per-peer unbounded outbound queues mirror the eager
-// simnet/livenet semantics, so all three backends execute identical
-// schedules). A lost peer — crashed process, killed connection — closes
-// that peer's queues with a recorded cause: every blocked or future
-// Recv/Send involving the peer panics with a clean "worker N disconnected"
-// error instead of hanging, and the panic cascades the usual way (worker
-// dies, its sockets close, its peers unwind), so a poisoned fabric drains
-// cluster-wide just as it does on livenet.
+// simnet semantics, so every backend executes identical schedules). A lost
+// peer — crashed process, killed connection — closes that peer's queues
+// with a recorded cause: every blocked or future Recv/Send involving the
+// peer panics with a clean "worker N disconnected" error instead of
+// hanging, and the panic cascades the usual way (worker dies, its
+// connections close, its peers unwind), so a poisoned fabric drains
+// cluster-wide.
 package tcpnet
 
 import (
@@ -391,7 +398,7 @@ func (e *Endpoint) mesh(dataLn net.Listener, addrs []string, gen int, deadline t
 				continue
 			}
 			conn.SetDeadline(time.Time{})
-			if err := e.register(peer, conn); err != nil {
+			if err := e.registerNet(peer, conn); err != nil {
 				errs <- err
 				return
 			}
@@ -413,7 +420,7 @@ func (e *Endpoint) mesh(dataLn net.Listener, addrs []string, gen int, deadline t
 				return
 			}
 			conn.SetDeadline(time.Time{})
-			if err := e.register(r, conn); err != nil {
+			if err := e.registerNet(r, conn); err != nil {
 				errs <- err
 				return
 			}
@@ -432,6 +439,17 @@ func (e *Endpoint) mesh(dataLn net.Listener, addrs []string, gen int, deadline t
 		}
 	}
 	return nil
+}
+
+// registerNet registers a socket the mesh accepted or dialed. Every TCP
+// socket can half-close; any other conn is refused and closed.
+func (e *Endpoint) registerNet(rank int, conn net.Conn) error {
+	mc, ok := conn.(meshConn)
+	if !ok {
+		conn.Close()
+		return fmt.Errorf("tcpnet: mesh connection to worker %d (%T) cannot half-close", rank, conn)
+	}
+	return e.register(rank, mc)
 }
 
 // dialRetry dials addr with jittered exponential backoff until the

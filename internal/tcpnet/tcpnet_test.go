@@ -359,7 +359,7 @@ func TestRegisterAfterAbortClosesConn(t *testing.T) {
 	}
 	defer client.Close()
 	server := <-accepted
-	if err := e.register(1, server); err == nil {
+	if err := e.registerNet(1, server); err == nil {
 		t.Fatal("register after abort must refuse the connection")
 	}
 	client.SetReadDeadline(time.Now().Add(5 * time.Second))

@@ -3,8 +3,8 @@ package train
 import (
 	"testing"
 
-	"spardl/internal/livenet"
 	"spardl/internal/pipeline"
+	"spardl/internal/tcpnet"
 )
 
 // TestLivenetBackendMatchesSimnet: the trainer on the real byte-level
@@ -17,7 +17,7 @@ func TestLivenetBackendMatchesSimnet(t *testing.T) {
 	cfg.EvalEvery = 2
 	sim := Run(cfg)
 
-	cfg.Backend = livenet.NewBackend()
+	cfg.Backend = tcpnet.MemBackend(nil)
 	live := Run(cfg)
 
 	if len(sim.Points) != len(live.Points) {
@@ -47,7 +47,7 @@ func TestLivenetBackendRunsPipeline(t *testing.T) {
 	cfg.Pipeline = &pipeline.Config{} // one bucket per layer
 	sim := Run(cfg)
 
-	cfg.Backend = livenet.NewBackend()
+	cfg.Backend = tcpnet.MemBackend(nil)
 	live := Run(cfg)
 
 	if live.Buckets != sim.Buckets {

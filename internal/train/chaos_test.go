@@ -8,13 +8,12 @@ import (
 	"spardl/internal/chaos"
 	"spardl/internal/comm"
 	"spardl/internal/core"
-	"spardl/internal/livenet"
 	"spardl/internal/tcpnet"
 )
 
-// The chaos suite: every schedule runs on BOTH live substrates — livenet
-// (goroutines over in-memory channels) and loopback tcpnet (goroutines over
-// real kernel sockets) — under the identical deterministic fault schedule,
+// The chaos suite: every schedule runs on BOTH live substrates — the tcpnet
+// endpoint over in-memory pipes ("livenet") and over real loopback kernel
+// sockets — under the identical deterministic fault schedule,
 // and either recovers with bit-identical post-shrink trajectories or fails
 // fast within the subtest deadline naming the injected root cause. This is
 // the tentpole acceptance: the schedule, not the substrate, decides what
@@ -57,7 +56,7 @@ func runBounded(t *testing.T, name string, cfg Config) chaosRun {
 }
 
 func TestChaosSuiteAcrossBackends(t *testing.T) {
-	healthy := runBounded(t, "healthy", chaosSuiteConfig(livenet.NewBackend()))
+	healthy := runBounded(t, "healthy", chaosSuiteConfig(tcpnet.MemBackend(nil)))
 	if healthy.err != nil {
 		t.Fatal(healthy.err)
 	}
@@ -110,7 +109,7 @@ func TestChaosSuiteAcrossBackends(t *testing.T) {
 				name string
 				b    comm.Backend
 			}{
-				{"livenet", livenet.NewChaosBackend(sched)},
+				{"livenet", tcpnet.MemBackend(sched)},
 				{"tcpnet", tcpnet.LocalChaosBackend(20*time.Second, sched)},
 			}
 			runs := make([]chaosRun, len(backends))

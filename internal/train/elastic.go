@@ -60,7 +60,8 @@ type elasticState struct {
 // for the new membership (team counts re-fit, partitions re-derived from
 // the new P), and continue. The trajectory it returns is deterministic for
 // a given seed, schedule and backend substrate — the chaos suite pins that
-// livenet and tcpnet produce bit-identical post-shrink points.
+// in-memory pipes and loopback sockets produce bit-identical post-shrink
+// points.
 //
 // The departed worker's unsent residual mass leaves with it; everything it
 // contributed to completed iterations is already folded into the shared

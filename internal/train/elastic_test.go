@@ -6,7 +6,7 @@ import (
 
 	"spardl/internal/chaos"
 	"spardl/internal/core"
-	"spardl/internal/livenet"
+	"spardl/internal/tcpnet"
 )
 
 func elasticConfig() Config {
@@ -15,7 +15,7 @@ func elasticConfig() Config {
 	cfg.Iters = 10
 	cfg.EvalEvery = 2
 	cfg.Factory = core.NewElasticFactory(core.Options{Teams: 2})
-	cfg.Backend = livenet.NewBackend()
+	cfg.Backend = tcpnet.MemBackend(nil)
 	cfg.Elastic = &ElasticConfig{MinP: 2, MaxRestarts: 2}
 	return cfg
 }
@@ -57,7 +57,7 @@ func TestRunElasticSurvivesCrash(t *testing.T) {
 	}
 	run := func() (*Result, []RecoveryStat) {
 		cfg := elasticConfig()
-		cfg.Backend = livenet.NewChaosBackend(sched)
+		cfg.Backend = tcpnet.MemBackend(sched)
 		res, recs, err := RunElastic(cfg)
 		if err != nil {
 			t.Fatalf("elastic run failed: %v", err)
@@ -110,7 +110,7 @@ func TestRunElasticTransientFaultKeepsTrajectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := elasticConfig()
-	cfg.Backend = livenet.NewChaosBackend(sched)
+	cfg.Backend = tcpnet.MemBackend(sched)
 	res, recs, err := RunElastic(cfg)
 	if err != nil {
 		t.Fatalf("elastic run failed: %v", err)

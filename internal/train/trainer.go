@@ -28,9 +28,11 @@ type Config struct {
 	EvalBatch int
 	// Backend selects the communication substrate the workers run on.
 	// nil (the default) uses the α-β simulator with the Network profile;
-	// livenet.NewBackend() runs the same iterations over the real
-	// concurrent byte-level transport, in which case every time-valued
-	// result field holds measured wall seconds and Network is ignored.
+	// tcpnet.MemBackend (in-memory pipes) or tcpnet.LocalBackend
+	// (loopback sockets) runs the same iterations over a real concurrent
+	// byte-level transport, in which case every time-valued result field
+	// except CompTime holds measured wall seconds and Network is ignored;
+	// CompTime stays the modeled compute charge on every backend.
 	Backend comm.Backend
 	// ComputeSkew optionally assigns per-worker compute-speed multipliers
 	// (len P) to model a heterogeneous cluster — the paper's future-work
@@ -293,8 +295,9 @@ func evalPoint(model nn.Model, ds data.Dataset, cfg Config, iter int, clock floa
 	return Point{Iter: iter, Time: clock, Loss: float64(loss.Data[0]), Metric: metric}
 }
 
-// String renders a compact one-line summary for logs.
+// String renders a compact one-line summary for logs. CompTime is the
+// modeled compute charge on every backend, so it is labeled as such.
 func (r *Result) String() string {
-	return fmt.Sprintf("%-22s n=%d k=%d per-update=%.4fs (comm %.4fs, comp %.4fs) final=%.4f",
+	return fmt.Sprintf("%-22s n=%d k=%d per-update=%.4fs (comm %.4fs, comp %.4fs modeled) final=%.4f",
 		r.Method, r.N, r.K, r.PerUpdateTime, r.CommTime, r.CompTime, r.FinalMetric)
 }

@@ -7,11 +7,11 @@ import (
 	"spardl/internal/sparse"
 )
 
-// Byte-level backends (livenet) serialize every payload through the comm
-// registry; this file plugs the sparse-chunk codecs in, which is what
+// The byte-level backend (tcpnet) serializes every payload through the
+// comm registry; this file plugs the sparse-chunk codecs in, which is what
 // makes wire the load-bearing serializer for real transports: a chunk
-// crossing a livenet channel is exactly the Encode/Decode byte stream,
-// never a shared reference.
+// crossing a socket or an in-memory pipe is exactly the Encode/Decode byte
+// stream, never a shared reference.
 
 func init() {
 	comm.RegisterPayload(comm.PayloadCodec{

@@ -128,7 +128,7 @@ func TestSizedChunkFramingNoOverhead(t *testing.T) {
 			t.Fatalf("negotiated framing %d bytes > COO framing %d", len(asNegotiated), len(asCOO))
 		}
 		// The receiver must recompute exactly the size the owner accounted.
-		back, err := comm.UnmarshalPayload(asNegotiated)
+		back, err := comm.UnmarshalPayloadArena(nil, asNegotiated)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,8 +4,9 @@
 // evaluated against (TopkA, TopkDSA, gTopk, Ok-Topk), a backend-neutral
 // communication layer with three interchangeable transports — a
 // deterministic α-β-model cluster simulator (simnet), a real concurrent
-// in-process byte-level transport (livenet), and a multi-process TCP
-// backend (tcpnet) where every worker is a separate OS process — a small
+// in-process byte-level transport (livenet: the TCP endpoint over in-memory
+// pipes), and a multi-process TCP backend (tcpnet) where every worker is a
+// separate OS process — a small
 // autograd engine, and the full experiment harness that regenerates every
 // table and figure of the paper's evaluation.
 //
@@ -31,7 +32,6 @@ import (
 	"spardl/internal/comm"
 	"spardl/internal/core"
 	"spardl/internal/expt"
-	"spardl/internal/livenet"
 	"spardl/internal/pipeline"
 	"spardl/internal/simnet"
 	"spardl/internal/sparse"
@@ -212,8 +212,8 @@ func ParseFactory(method string, p, teams int, variant, residual string) (Factor
 // neutral comm.Endpoint contract; two backends implement it.
 type (
 	// CommEndpoint is the backend-neutral worker handle every reducer
-	// accepts: *Endpoint (the simulator's) and livenet's endpoint both
-	// satisfy it.
+	// accepts: *Endpoint (the simulator's) and the byte-level endpoint
+	// both satisfy it.
 	CommEndpoint = comm.Endpoint
 	// Backend runs P workers over one communication substrate
 	// (SimBackend or LiveBackend); TrainConfig.Backend selects it.
@@ -226,15 +226,16 @@ type (
 // given network profile: virtual time, payloads by reference.
 func SimBackend(profile Profile) Backend { return simnet.Backend(profile) }
 
-// LiveBackend returns the real concurrent byte-level backend: P goroutines
-// over in-memory channels, every sparse message actually serialized
-// through the wire codecs, wall-clock time and real byte counts.
-func LiveBackend() Backend { return livenet.NewBackend() }
+// LiveBackend returns the real concurrent byte-level backend: P goroutines,
+// each with a tcpnet endpoint, meshed over in-memory pipes; every sparse
+// message is actually serialized through the wire codecs, with wall-clock
+// time and real byte counts. Its Name is "livenet".
+func LiveBackend() Backend { return tcpnet.MemBackend(nil) }
 
 // Distributed TCP backend (tcpnet): each worker is a separate OS process;
 // rank 0 hosts the rendezvous, workers mesh up over real TCP sockets, and
-// every message crosses the kernel network stack through the same wire
-// codecs livenet uses.
+// every message crosses the kernel network stack through the same endpoint
+// and wire codecs LiveBackend uses.
 type (
 	// TCPConfig describes one worker process's cluster coordinates
 	// (rendezvous address, P, rank).
@@ -275,14 +276,15 @@ func TCPConfigFromEnv() (cfg TCPConfig, ok bool, err error) { return tcpnet.From
 
 // Deterministic fault injection and elastic membership. A ChaosSchedule is
 // a seed-reproducible fault program ("crash:rank=1,iter=2;drop:rank=0,
-// peer=2,frame=5"); the same schedule replays bit-identically on livenet
-// and tcpnet, which is what the chaos suite pins. Elastic backends survive
+// peer=2,frame=5"); the same schedule replays bit-identically over
+// in-memory pipes and loopback sockets, which is what the chaos suite pins. Elastic backends survive
 // scheduled crashes by re-rendezvousing the survivors — see TrainElastic.
 type (
 	// ChaosSchedule is a parsed deterministic fault schedule.
 	ChaosSchedule = chaos.Schedule
 	// ElasticBackend is a Backend that survives worker loss by re-forming
-	// the fabric with the survivors (livenet and tcpnet implement it).
+	// the fabric with the survivors (the live and TCP backends implement
+	// it).
 	ElasticBackend = comm.ElasticBackend
 	// ElasticTrainConfig bounds an elastic run (TrainConfig.Elastic).
 	ElasticTrainConfig = train.ElasticConfig
@@ -298,7 +300,7 @@ type (
 func ParseChaos(s string) (*ChaosSchedule, error) { return chaos.Parse(s) }
 
 // LiveChaosBackend is LiveBackend under a deterministic fault schedule.
-func LiveChaosBackend(sched *ChaosSchedule) Backend { return livenet.NewChaosBackend(sched) }
+func LiveChaosBackend(sched *ChaosSchedule) Backend { return tcpnet.MemBackend(sched) }
 
 // TCPLocalChaosBackend is TCPLocalBackend under a deterministic fault
 // schedule: the same schedule as LiveChaosBackend, replayed over real
@@ -511,10 +513,10 @@ func (rb *ReduceBench) Iterate() {
 }
 
 // RunLive executes worker(rank, endpoint) on p goroutines over a fresh
-// livenet fabric — the real concurrent transport — and reports per-worker
-// wall-clock costs and real serialized byte counts.
+// in-memory mesh — the real concurrent transport of LiveBackend — and
+// reports per-worker wall-clock costs and real serialized byte counts.
 func RunLive(p int, worker func(rank int, ep CommEndpoint)) *Report {
-	return livenet.Run(p, worker)
+	return LiveBackend().Run(p, worker)
 }
 
 // Distributed training.
