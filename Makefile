@@ -4,7 +4,7 @@
 
 VETCACHE := .vetcache
 
-.PHONY: build test race vet vet-cold bench fmt
+.PHONY: build test race chaos vet vet-cold bench fmt
 
 build:
 	go build ./...
@@ -14,6 +14,13 @@ test:
 
 race:
 	go test -race ./...
+
+# The CI chaos step: deterministic fault schedules and elastic recovery
+# over in-memory pipes and loopback sockets, under the race detector.
+chaos:
+	go test -race -count=1 -run 'TestChaosSuiteAcrossBackends|TestRunElastic' ./internal/train
+	go test -race -count=1 -run 'TestRunElastic' ./internal/tcpnet
+	go test -race -count=1 -run 'TestLocalElastic|TestElasticSurvivesSIGKILL|TestChaosConnFrameAlignment' ./internal/tcpnet
 
 # Incremental vet: only packages whose sources, analyzer suite, or
 # dependency export data changed since the last run are re-analyzed.

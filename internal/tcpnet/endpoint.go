@@ -830,7 +830,8 @@ func (e *Endpoint) Join() {
 // outbound stream (so peers receive every queued frame, then EOF), waits —
 // up to the configured timeout — for peers to close their sides, and then
 // tears the connections down. Call it once the worker body is done. After
-// an Abort, Close only reaps the stream goroutine.
+// an Abort, Close waits for the socket goroutines, which exit as soon as
+// their closed connections error, and reaps the stream goroutine.
 func (e *Endpoint) Close() {
 	if e.closed.CompareAndSwap(false, true) {
 		for _, pr := range e.peers {
@@ -856,6 +857,12 @@ func (e *Endpoint) Close() {
 			}
 		}
 		<-done
+	} else {
+		// A writer the abort left mid-flush would otherwise still be
+		// consulting its chaos injector — shared with the next elastic
+		// generation's endpoint for the same worker — after Close returns.
+		e.writers.Wait()
+		e.readers.Wait()
 	}
 	e.shutdownStream()
 }

@@ -8,6 +8,7 @@ import (
 	"spardl/internal/chaos"
 	"spardl/internal/comm"
 	"spardl/internal/core"
+	"spardl/internal/pipeline"
 	"spardl/internal/tcpnet"
 )
 
@@ -198,5 +199,52 @@ func comparePoints(t *testing.T, what string, got, want *Result) {
 		if g.Iter != w.Iter || g.Loss != w.Loss || g.Metric != w.Metric {
 			t.Fatalf("%s: trajectory diverged at point %d: %+v vs %+v", what, i, g, w)
 		}
+	}
+}
+
+// TestRunElasticPipelined runs the chaos suite's crash schedule on the
+// bucketed pipeline (one bucket per layer): each bucket's reducer restores
+// its own range of the snapshot residual after the shrink. A healthy
+// elastic pipelined run must equal Run with the same pipeline, and the
+// recovered run must walk the same trajectory on both substrates.
+func TestRunElasticPipelined(t *testing.T) {
+	pipelined := func(b comm.Backend) Config {
+		cfg := chaosSuiteConfig(b)
+		cfg.Pipeline = &pipeline.Config{}
+		return cfg
+	}
+	plain := Run(pipelined(tcpnet.MemBackend(nil)))
+	healthy := runBounded(t, "healthy", pipelined(tcpnet.MemBackend(nil)))
+	if healthy.err != nil {
+		t.Fatal(healthy.err)
+	}
+	if len(healthy.recs) != 0 || healthy.res.Buckets != plain.Buckets || plain.Buckets < 2 {
+		t.Fatalf("healthy pipelined run: recoveries %+v, buckets %d vs %d", healthy.recs, healthy.res.Buckets, plain.Buckets)
+	}
+	comparePoints(t, "elastic vs Run", healthy.res, plain)
+	if healthy.res.FinalLoss != plain.FinalLoss {
+		t.Fatalf("final loss diverged: %g vs %g", healthy.res.FinalLoss, plain.FinalLoss)
+	}
+
+	sched, err := chaos.Parse("crash:rank=3,iter=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv := runBounded(t, "livenet", pipelined(tcpnet.MemBackend(sched)))
+	tcp := runBounded(t, "tcpnet", pipelined(tcpnet.LocalChaosBackend(20*time.Second, sched)))
+	for _, r := range []chaosRun{lv, tcp} {
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if len(r.recs) != 1 || r.recs[0].P != 3 || r.recs[0].ResumeIter != 4 {
+			t.Fatalf("recoveries: %+v", r.recs)
+		}
+		if len(r.res.Points) == 0 || r.res.Points[len(r.res.Points)-1].Iter != 8 {
+			t.Fatalf("run did not complete training: %+v", r.res.Points)
+		}
+	}
+	comparePoints(t, "tcpnet vs livenet", tcp.res, lv.res)
+	if lv.res.FinalLoss != tcp.res.FinalLoss {
+		t.Fatalf("final loss diverged: livenet %g, tcpnet %g", lv.res.FinalLoss, tcp.res.FinalLoss)
 	}
 }

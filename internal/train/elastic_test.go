@@ -22,7 +22,8 @@ func elasticConfig() Config {
 
 // TestRunElasticHealthyMatchesRun pins that the elastic path is a strict
 // superset: with no faults scheduled, RunElastic walks the exact same
-// trajectory as plain Run on the same backend.
+// trajectory as plain Run on the same backend and reports the same
+// worst-worker traffic.
 func TestRunElasticHealthyMatchesRun(t *testing.T) {
 	cfg := elasticConfig()
 	plain := Run(cfg)
@@ -43,6 +44,13 @@ func TestRunElasticHealthyMatchesRun(t *testing.T) {
 	}
 	if el.FinalLoss != plain.FinalLoss {
 		t.Fatalf("final loss diverged: %g vs %g", el.FinalLoss, plain.FinalLoss)
+	}
+	if el.BytesPerIter != plain.BytesPerIter || el.MaxRounds != plain.MaxRounds {
+		t.Fatalf("traffic differs: bytes %d/%d rounds %d/%d",
+			el.BytesPerIter, plain.BytesPerIter, el.MaxRounds, plain.MaxRounds)
+	}
+	if el.ExposedComm <= 0 {
+		t.Fatalf("elastic run reported no exposed communication: %+v", el)
 	}
 }
 

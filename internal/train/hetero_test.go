@@ -1,6 +1,10 @@
 package train
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestComputeSkewStretchesIterations(t *testing.T) {
 	base := baseConfig()
@@ -46,5 +50,28 @@ func TestPaperScaleCommMakesCommRealistic(t *testing.T) {
 	}
 	if paper.CompTime != plain.CompTime {
 		t.Fatalf("compute time must be unaffected: %.6f vs %.6f", paper.CompTime, plain.CompTime)
+	}
+}
+
+// TestComputeSkewLengthChecked: a ComputeSkew slice that does not hold one
+// entry per worker is a config error on both entry points — Run panics and
+// RunElastic returns an error, each naming the length and P — instead of
+// an index panic inside a worker.
+func TestComputeSkewLengthChecked(t *testing.T) {
+	for _, skew := range [][]float64{{}, {1, 2}, {1, 1, 1, 1, 1}} {
+		cfg := elasticConfig()
+		cfg.ComputeSkew = skew
+		want := fmt.Sprintf("%d entries for P=%d", len(skew), cfg.P)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+					t.Errorf("Run with %d skew entries: panic %v, want one naming %q", len(skew), r, want)
+				}
+			}()
+			Run(cfg)
+		}()
+		if _, _, err := RunElastic(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("RunElastic with %d skew entries: error %v, want one naming %q", len(skew), err, want)
+		}
 	}
 }

@@ -12,10 +12,12 @@
 //
 // # Quick start
 //
-//	fabric := spardl.NewFabric(8, spardl.Ethernet)
-//	// one reducer per worker goroutine:
-//	r, _ := spardl.New(8, rank, n, k, spardl.Options{})
-//	global := r.Reduce(fabric.Endpoint(rank), grad)
+//	rep := spardl.RunCluster(8, spardl.Ethernet, func(rank int, ep *spardl.Endpoint) {
+//		r, _ := spardl.New(8, rank, n, k, spardl.Options{})
+//		global := r.Reduce(ep, grads[rank]) // the sparse-summed gradient
+//		use(global)
+//	})
+//	fmt.Println(rep.MaxBytesRecv()) // the worst worker's received bytes
 //
 // See examples/ for runnable programs and cmd/spardl-bench for the
 // experiment harness.
@@ -159,12 +161,6 @@ var Methods = map[string]Factory{
 	"dense":   Dense,
 }
 
-// GTopkValid reports whether gTopk is constructible for P workers (the
-// algorithm is defined only for power-of-two P). CLI harnesses check it up
-// front so an unsupported configuration fails fast or is skipped instead
-// of panicking mid-run.
-func GTopkValid(p int) error { return sparsecoll.GTopkValid(p) }
-
 // ParseFactory builds a reducer factory from CLI-style settings: method is
 // "spardl" or a Methods key; teams/variant/residual configure SparDL and
 // are ignored otherwise. Every configuration error — unknown names, gTopk
@@ -201,7 +197,7 @@ func ParseFactory(method string, p, teams int, variant, residual string) (Factor
 		return nil, fmt.Errorf("unknown method %q", method)
 	}
 	if strings.EqualFold(method, "gtopk") {
-		if err := GTopkValid(p); err != nil {
+		if err := sparsecoll.GTopkValid(p); err != nil {
 			return nil, err
 		}
 	}
@@ -264,12 +260,6 @@ func TCPLocalBackend() Backend { return tcpnet.LocalBackend(0) }
 // listener — the parent-process half of the one-command local demo.
 func ReserveTCPAddr() (string, error) { return tcpnet.ReserveLoopbackAddr() }
 
-// TCPChildEnv returns the environment entries that hand a spawned worker
-// process its cluster coordinates; TCPConfigFromEnv reads them back.
-func TCPChildEnv(rendezvous string, p, rank int) []string {
-	return tcpnet.ChildEnv(rendezvous, p, rank)
-}
-
 // TCPConfigFromEnv reads the spawned-worker convention; ok is false when
 // this process was not launched as a tcpnet worker.
 func TCPConfigFromEnv() (cfg TCPConfig, ok bool, err error) { return tcpnet.FromEnv() }
@@ -307,12 +297,6 @@ func LiveChaosBackend(sched *ChaosSchedule) Backend { return tcpnet.MemBackend(s
 // loopback sockets.
 func TCPLocalChaosBackend(sched *ChaosSchedule) Backend { return tcpnet.LocalChaosBackend(0, sched) }
 
-// TCPProcBackend adapts one worker process to the elastic contract:
-// generation 0 is a normal rendezvous at cfg, and after a poisoned fabric
-// the survivors elect the lowest surviving ID as the new rendezvous leader
-// and re-mesh (cmd/spardl-worker -elastic uses it).
-func TCPProcBackend(cfg TCPConfig) ElasticBackend { return tcpnet.NewProcBackend(cfg) }
-
 // ErrTCPRendezvous classifies TCPStart failures: errors.Is(err,
 // ErrTCPRendezvous) means the cluster never formed (nothing listening,
 // timeout, torn check-ins past budget) as opposed to a mid-training fault.
@@ -341,15 +325,17 @@ func TrainElastic(cfg TrainConfig) (*TrainResult, []RecoveryStat, error) {
 }
 
 // TrainTCPElastic is TrainTCPRank's elastic sibling for one worker
-// process: the training session runs over TCPProcBackend(tcp), surviving
-// scheduled crashes of other processes by re-rendezvousing. Note that in
+// process: the training session runs over tcpnet's process backend,
+// surviving scheduled crashes of other processes by re-rendezvousing —
+// after a poisoned fabric the survivors elect the lowest surviving ID as
+// the new rendezvous leader and re-mesh. Note that in
 // multi-process mode each process owns its own TrainResult: after a rank-0
 // failover the new rank 0's trajectory covers its own post-recovery
 // evaluations (res.TotalTime > 0 marks the process that held rank 0 at the
 // end).
 func TrainTCPElastic(tcp TCPConfig, cfg TrainConfig) (*TrainResult, []RecoveryStat, error) {
 	cfg.P = tcp.P
-	cfg.Backend = TCPProcBackend(tcp)
+	cfg.Backend = tcpnet.NewProcBackend(tcp)
 	return train.RunElastic(cfg)
 }
 
@@ -402,7 +388,7 @@ func ForkTCPWorkers(p int, configure func(rank int, cmd *exec.Cmd)) error {
 	cmds := make([]*exec.Cmd, p)
 	for rank := 0; rank < p; rank++ {
 		cmd := exec.Command(self, os.Args[1:]...)
-		cmd.Env = append(os.Environ(), TCPChildEnv(addr, p, rank)...)
+		cmd.Env = append(os.Environ(), tcpnet.ChildEnv(addr, p, rank)...)
 		cmd.Stderr = os.Stderr
 		if configure != nil {
 			configure(rank, cmd)
@@ -427,8 +413,6 @@ func ForkTCPWorkers(p int, configure func(rank int, cmd *exec.Cmd)) error {
 
 // Network / cluster simulation.
 type (
-	// Fabric is the simulated α-β network connecting P workers.
-	Fabric = simnet.Fabric
 	// Endpoint is one worker's handle on the simulated fabric (virtual
 	// clock, traffic statistics).
 	Endpoint = simnet.Endpoint
@@ -444,22 +428,10 @@ var (
 	RDMA     = simnet.RDMA
 )
 
-// NewFabric creates a simulated network for p workers.
-func NewFabric(p int, profile Profile) *Fabric { return simnet.New(p, profile) }
-
 // RunCluster executes worker(rank, endpoint) on p goroutines over a fresh
 // simulated fabric and reports per-worker α-β costs.
 func RunCluster(p int, profile Profile, worker func(rank int, ep *Endpoint)) *Report {
 	return simnet.Run(p, profile, worker)
-}
-
-// RunWorkers executes worker(rank, ep) concurrently on the provided
-// endpoints (all from one fabric) and waits for completion, without
-// building a report. Steady-state loops use it to keep the fabric,
-// endpoints and reducers alive across iterations — the allocation-free
-// hot path the benchmarks measure.
-func RunWorkers(eps []*Endpoint, worker func(rank int, ep *Endpoint)) {
-	simnet.RunOn(eps, worker)
 }
 
 // ReduceBench is the canonical steady-state hot-path workload: one SparDL
@@ -484,7 +456,7 @@ func NewReduceBench(p, n, k int, mode WireMode) (*ReduceBench, error) {
 		outs: make([][]float32, p), eps: make([]*Endpoint, p),
 		reducers: make([]*SparDL, p),
 	}
-	fabric := NewFabric(p, Ethernet)
+	fabric := simnet.New(p, Ethernet)
 	for w := 0; w < p; w++ {
 		rb.grads[w] = make([]float32, n)
 		for i := range rb.grads[w] {
@@ -506,7 +478,9 @@ func NewReduceBench(p, n, k int, mode WireMode) (*ReduceBench, error) {
 
 // Iterate runs one cluster-wide steady-state synchronization.
 func (rb *ReduceBench) Iterate() {
-	RunWorkers(rb.eps, func(rank int, ep *Endpoint) {
+	// simnet.RunOn keeps the fabric, endpoints and reducers alive across
+	// iterations — the allocation-free hot path the benchmarks measure.
+	simnet.RunOn(rb.eps, func(rank int, ep *Endpoint) {
 		copy(rb.bufs[rank], rb.grads[rank])
 		rb.reducers[rank].ReduceInto(ep, rb.bufs[rank], rb.outs[rank])
 	})
